@@ -148,15 +148,19 @@ class CyclePlan:
 
     ``sweep_fn`` is the generated specialized sweep (built lazily by
     the first engine over this plan; see :func:`_compile_sweep`).
+
+    The plan keeps only the netlist's ``name``, never the netlist: it
+    is the value of a cache keyed weakly by that netlist, and a strong
+    back-reference would keep every entry alive forever.
     """
 
     __slots__ = (
-        "net", "pairs", "pairs_final", "n_static_gates", "port_plans",
+        "name", "pairs", "pairs_final", "n_static_gates", "port_plans",
         "sweep_fn", "sweep_source",
     )
 
     def __init__(self, net: Netlist, static_fanout, final_fanout) -> None:
-        self.net = net
+        self.name = net.name
         self.port_plans = [
             _PortPlan(p, i) for i, p in enumerate(net.macro_ports)
         ]
@@ -197,6 +201,7 @@ class CyclePlan:
 
 #: One compiled plan per live netlist; netlists are immutable after
 #: validate() so the plan can be shared by every engine over them.
+#: An entry dies with its netlist (plans hold no reference back).
 _PLAN_CACHE: "weakref.WeakKeyDictionary[Netlist, CyclePlan]" = (
     weakref.WeakKeyDictionary()
 )
@@ -358,7 +363,7 @@ def _compile_sweep(plan: CyclePlan):
     A("    return nsec, ndead")
     source = "\n".join(src)
     ns: dict = {}
-    exec(compile(source, f"<cycle-plan {plan.net.name}>", "exec"), ns)
+    exec(compile(source, f"<cycle-plan {plan.name}>", "exec"), ns)
     plan.sweep_source = source
     plan.sweep_fn = ns["_sweep"]
     return plan.sweep_fn

@@ -229,9 +229,10 @@ def add_serve_parser(sub) -> None:
                         "each under the default process pool (default 4)")
     p.add_argument("--pool", choices=("auto", "process", "thread"),
                    default="auto",
-                   help="worker pool kind: 'process' pins one forkserver "
+                   help="worker executor: 'process' pins one forkserver "
                         "process per worker (true multi-core garbling), "
-                        "'thread' keeps the in-process pool, 'auto' "
+                        "'thread' runs the same workers as threads of "
+                        "the server process, 'auto' "
                         "(default) picks process when the platform and "
                         "programs allow it")
     p.add_argument("--queue-depth", type=int, default=8,

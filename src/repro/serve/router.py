@@ -407,11 +407,20 @@ class SessionRouter:
             self._poll_task = loop.create_task(self._poll_loop())
             self._ready.set()
             loop.run_forever()
-            self._poll_task.cancel()
             for conn in list(self._conns):
                 if conn.transport is not None:
                     conn.transport.close()
             self._server.close()
+            # Cancel and await everything still pending (the poll loop,
+            # in-flight shard probes, routing tasks) while the loop is
+            # alive: a task left pending past loop.close() runs its
+            # cleanup from the garbage collector, on a closed loop.
+            pending = asyncio.all_tasks(loop)
+            for task in pending:
+                task.cancel()
+            loop.run_until_complete(
+                asyncio.gather(*pending, return_exceptions=True)
+            )
             loop.run_until_complete(self._server.wait_closed())
             loop.run_until_complete(loop.shutdown_asyncgens())
         finally:

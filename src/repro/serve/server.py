@@ -4,11 +4,11 @@ One :class:`GarbleServer` owns the garbler role for many concurrent
 evaluator sessions.  The paper's premise — a fixed public circuit
 garbled afresh per private input — makes this the natural scaling
 unit: the netlists and their compiled
-:class:`~repro.core.plan.CyclePlan` are built **once per worker
-process** at spawn and shared (read-only) by every session that worker
-runs, so N concurrent sessions pay ``workers`` compiles, not N.
+:class:`~repro.core.plan.CyclePlan` are built once per worker process
+(or once per server for in-process workers) and shared read-only by
+every session, so N concurrent sessions never pay N compiles.
 
-Architecture (process pool, the default)::
+Architecture::
 
     AsyncEdge (1 loop thread) ── hello parsed off-loop, per-state
          │                       deadlines, structured rejects
@@ -16,21 +16,25 @@ Architecture (process pool, the default)::
          │                            │  (Full -> structured     │
          │                            │   "busy" reject)    idle worker?
          │                            │                          │
-         │          reconnect ──── fd passed (SCM_RIGHTS) ──> worker
-         │          stats probe ──> snapshot reply, close     processes
-         └── result probe / redial of finished session        (1 session
-                  └──> replay buffer (bounded, TTL'd)          at a time)
+         │          reconnect ──── fd passed (SCM_RIGHTS) ──> workers
+         │          stats probe ──> snapshot reply, close    (1 session
+         └── result probe / redial of finished session        at a time)
+                  └──> replay buffer (bounded, TTL'd)
 
-* **Worker pool** — ``workers`` forkserver processes, each of which
-  rebuilds and pre-warms one compiled plan per served program at
-  spawn (:mod:`repro.serve.worker`).  Sessions are handed to workers
-  over a per-worker control channel (:mod:`repro.serve.ipc`); every
-  (re)connected socket crosses to the owning worker as a file
-  descriptor via ``socket.send_fds``, so checkpoint/resume routing
-  keeps working across the process boundary.  Garbling therefore runs
-  on ``min(workers, cores)`` cores instead of serializing on one GIL.
-  ``pool="thread"`` retains the in-process pool (used automatically
-  when the programs are not picklable, e.g. callable bit sources).
+* **Worker pool** — one session runtime, two executors.  Every
+  session runs in :func:`repro.serve.worker.worker_main`, which the
+  parent drives over a per-worker control channel
+  (:mod:`repro.serve.ipc`); every (re)connected socket crosses to the
+  owning worker as a file descriptor via ``socket.send_fds``, so
+  checkpoint/resume routing, handoff, stats records and replay parking
+  are the same code whichever executor runs the worker.
+  ``pool="process"`` runs each worker in a forkserver process that
+  rebuilds and pre-warms its own plans and material, so garbling runs
+  on ``min(workers, cores)`` cores.  ``pool="thread"`` runs each
+  worker in a daemon thread of the server (no child process at all)
+  sharing the parent's plan cache and material caches; ``"auto"``
+  picks it when the programs are not picklable (e.g. callable bit
+  sources).
 * **Admission control** — the accept queue is a bounded
   ``queue.Queue``; when it is full a new hello is answered with an
   immediate structured ``{"status": "busy", ...}`` welcome and the
@@ -42,15 +46,17 @@ Architecture (process pool, the default)::
 * **Session lifecycle** — each admitted session runs the existing
   :class:`~repro.net.session.ResumableSession` state machine around a
   :class:`~repro.core.protocol.GarblerParty`; its ``connect`` callable
-  pops from the session's link queue, which (re)connects feed.  A
+  pops from the worker's per-session link mailbox, which (re)connects
+  feed.  A
   dropped evaluator redials the same server, names its session id in
   the hello, and resumes against the checkpoints the worker holds.
   Session state transitions and the ``completed``/``failed`` counters
   move together under the parent's lock, so a finished-counter
   observation implies the finished state is visible.
-* **Stats** — counters live in a shared-memory block
-  (``multiprocessing.Array``) written by both the parent (admission,
-  rejects, probes) and the workers (the ``active`` gauge); per-session
+* **Stats** — counters live in one shared block
+  (:mod:`multiprocessing.sharedctypes` array) written by both the
+  parent (admission, rejects, probes) and the workers (the ``active``
+  gauge and material counters); per-session
   records are shipped back over the control channel into the parent's
   ring and the obs layer (``serve.*`` counters, ``serve-session``
   trace events), and served over the wire to any ``op: "stats"``
@@ -81,22 +87,17 @@ import pickle
 import queue
 import socket as socket_mod
 import threading
+from multiprocessing import sharedctypes
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..circuit.netlist import Netlist
-from ..core.plan import warm_plan
 from ..gc.channel import ChannelClosed, ChannelTimeout, FrameCorruption
 from ..gc.ot import BaseOTCache
 from ..net.links import Link, LinkClosed, LinkTimeout, PrefacedLink
-from ..net.session import (
-    ResumableSession,
-    SessionHandoff,
-    SessionResult,
-    net_digest,
-)
+from ..net.session import SessionResult, net_digest
 from ..net.tcp import TcpLink, connect_with_backoff
 from ..obs import NULL_OBS
 from .config import ServeConfig
@@ -114,18 +115,13 @@ from .replay import DENIED, HIT, ReplayBuffer
 from .worker import (
     STAT_FIELDS,
     build_material_caches,
-    exportable_ot_base,
-    handoff_bundle,
-    make_adopted_party,
-    make_garbler_party,
-    replay_payload,
     worker_main,
+    worker_process,
 )
 
 BitSource = Union[Sequence[int], Callable[[int], Sequence[int]]]
 
 _SENTINEL = object()
-_SEALED = object()
 
 #: set_forkserver_preload must happen before the forkserver boots;
 #: guard so repeated server construction doesn't re-set it.
@@ -236,21 +232,19 @@ def registry_keyed_program(
 class ServeStats:
     """Serve counters plus a ring of per-session records.
 
-    The counters live in a flat block — a plain list under a
-    ``threading.Lock`` for the thread pool, a shared-memory
-    ``multiprocessing.Array`` (with its cross-process lock) for the
-    process pool, where the workers write the ``active`` gauge
-    directly.  Field layout is :data:`~repro.serve.worker.STAT_FIELDS`;
-    each field also reads as a plain attribute (``stats.completed``).
+    The counters live in one synchronized
+    :mod:`multiprocessing.sharedctypes` array that the parent and the
+    workers both write (workers through ``worker._bump``).  The process
+    pool allocates it from its forkserver context, so it is shared
+    memory with a cross-process lock; the thread pool backs it with a
+    ``threading.RLock`` and starts no helper process.  Field layout is
+    :data:`~repro.serve.worker.STAT_FIELDS`; each field also reads as a
+    plain attribute (``stats.completed``).
     """
 
-    def __init__(self, keep_sessions: int = 64, block=None,
-                 lock=None) -> None:
-        if block is None:
-            block = [0] * len(STAT_FIELDS)
-            lock = threading.Lock()
+    def __init__(self, block, keep_sessions: int = 64) -> None:
         self._block = block
-        self._block_lock = lock
+        self._block_lock = block.get_lock()
         self._ring_lock = threading.Lock()
         self._recent: "deque" = deque(maxlen=keep_sessions)
 
@@ -306,8 +300,8 @@ class _ServeSession:
     result: Optional[SessionResult] = None
     error: Optional[BaseException] = None
     wall_seconds: float = 0.0
-    #: Process pool: index of the worker running this session (None
-    #: until dispatched; links arriving earlier wait in ``_pending``).
+    #: Index of the worker running this session (None until
+    #: dispatched; links arriving earlier wait in ``_pending``).
     owner: Optional[int] = None
     #: Client identity from the hello (material epoch audit trail and
     #: base-OT cache key); None for anonymous sessions.
@@ -325,51 +319,16 @@ class _ServeSession:
     #: Where a handed-off session went — redials of this session are
     #: answered with a ``moved`` welcome naming this (host, port).
     peer: Optional[tuple] = None
-    #: Thread pool: set to interrupt the session at its next
-    #: checkpoint boundary for drain-time handoff (the process pool
-    #: signals its worker over the control channel instead).
-    handoff: threading.Event = field(default_factory=threading.Event)
     _pending: List[tuple] = field(default_factory=list)
-    _links: "queue.Queue" = field(default_factory=queue.Queue)
     _lock: threading.Lock = field(default_factory=threading.Lock)
     _sealed: bool = False
 
-    def push_link(self, link: Link) -> bool:
-        """Feed a (re)connect to the session's worker; False once the
-        session has finished (the caller closes the link)."""
-        with self._lock:
-            if self._sealed:
-                return False
-            self._links.put(link)
-            return True
-
-    def pop_link(self, timeout: Optional[float]) -> Link:
-        try:
-            item = self._links.get(timeout=timeout)
-        except queue.Empty:
-            raise LinkTimeout(
-                f"session {self.id!r}: evaluator did not (re)connect "
-                f"within {timeout}s"
-            ) from None
-        if item is _SEALED:
-            self._links.put(item)  # keep failing fast for later pops
-            raise LinkClosed(f"session {self.id!r} is sealed")
-        return item
-
     def seal(self) -> None:
-        """Close pending/queued links and wake a blocked ``pop_link``
-        so a cancelled session never costs a full resume window."""
+        """Refuse further links and close the ones still waiting for
+        dispatch, so a cancelled session never holds a socket."""
         with self._lock:
             self._sealed = True
             pending, self._pending = self._pending, []
-            while True:
-                try:
-                    item = self._links.get_nowait()
-                except queue.Empty:
-                    break
-                if item is not _SEALED:
-                    item.close()
-            self._links.put(_SEALED)
         for link, _preface in pending:
             link.close()
 
@@ -382,10 +341,12 @@ class GarbleServer:
     until :meth:`request_shutdown`, e.g. from a signal handler) or
     drive clients directly in tests and call :meth:`shutdown`.
 
-    ``pool`` selects the worker pool: ``"process"`` (one OS process
-    per worker — true multi-core garbling), ``"thread"`` (the
-    in-process pool), or ``"auto"`` (default: processes when the
-    programs can cross a process boundary, threads otherwise).
+    ``pool`` selects the executor the workers run on: ``"process"``
+    (one OS process per worker — true multi-core garbling),
+    ``"thread"`` (one daemon thread per worker, in this process), or
+    ``"auto"`` (default: processes when the programs can cross a
+    process boundary, threads otherwise).  The session runtime is the
+    same either way.
     """
 
     def __init__(
@@ -400,7 +361,6 @@ class GarbleServer:
         resume_window: Optional[float] = None,
         max_attempts: int = 6,
         handshake_timeout: float = 5.0,
-        hello_timeout: Optional[float] = None,
         idle_timeout: Optional[float] = 60.0,
         replay_ttl: float = 120.0,
         replay_capacity: int = 256,
@@ -431,11 +391,7 @@ class GarbleServer:
                 timeout=timeout,
                 resume_window=resume_window,
                 max_attempts=max_attempts,
-                #: ``hello_timeout`` is the historical name of the knob.
-                handshake_timeout=(
-                    hello_timeout if hello_timeout is not None
-                    else handshake_timeout
-                ),
+                handshake_timeout=handshake_timeout,
                 idle_timeout=idle_timeout,
                 replay_ttl=replay_ttl,
                 replay_capacity=replay_capacity,
@@ -470,7 +426,6 @@ class GarbleServer:
         )
         self.max_attempts = config.max_attempts
         self.handshake_timeout = config.handshake_timeout
-        self.hello_timeout = self.handshake_timeout
         self.idle_timeout = config.idle_timeout
         self.replay_ttl = config.replay_ttl
         self.max_connections = config.max_connections
@@ -506,33 +461,33 @@ class GarbleServer:
         if self.pool == "process":
             self._ctx = _forkserver_context()
             self._stats_block = self._ctx.Array("l", len(STAT_FIELDS))
-            self.stats = ServeStats(
-                block=self._stats_block,
-                lock=self._stats_block.get_lock(),
-            )
-            self._procs: List[Optional[object]] = [None] * self.workers
-            self._chans: List[Optional[MsgChannel]] = [None] * self.workers
-            #: Workers that completed their pre-warm at least once; a
-            #: worker dying *before* ready means spawning is broken in
-            #: this environment, and respawning would loop forever.
-            self._worker_ready: List[bool] = [False] * self.workers
-            #: Tokens of workers ready for a session (fed by "ready"
-            #: and session-finished messages).
-            self._idle: "queue.Queue" = queue.Queue()
         else:
-            self.stats = ServeStats()
-            # One compile for all sessions: warm the thread-safe plan
-            # cache now so no session thread pays netlist compilation.
-            if self.engine == "compiled":
-                for prog in self.programs.values():
-                    warm_plan(prog.net)
-            # Offline phase (thread pool): pre-garble material in the
-            # parent; process-pool workers do the same at spawn.
+            # A threading lock, not a multiprocessing one: a semaphore
+            # lock would start a resource-tracker process.  Reentrant,
+            # like the default: the wrapper's item access locks again.
+            self._stats_block = sharedctypes.Array(
+                "l", len(STAT_FIELDS), lock=threading.RLock()
+            )
+        self.stats = ServeStats(self._stats_block)
+        #: The thread pool's one offline phase, shared by every worker
+        #: thread; process workers pre-garble their own (None here).
+        self._materials: Optional[dict] = None
+        if self.pool == "thread":
             self._materials = build_material_caches(
                 self.programs, self._worker_config()
             )
             for cache in self._materials.values():
                 self.stats.bump("material_epochs", cache.prewarm())
+        #: Worker handles (processes or threads) and their channels.
+        self._procs: List[Optional[object]] = [None] * self.workers
+        self._chans: List[Optional[MsgChannel]] = [None] * self.workers
+        #: Workers that completed their pre-warm at least once; a
+        #: worker dying *before* ready means spawning is broken in
+        #: this environment, and respawning would loop forever.
+        self._worker_ready: List[bool] = [False] * self.workers
+        #: Tokens of workers ready for a session (fed by "ready" and
+        #: session-finished messages).
+        self._idle: "queue.Queue" = queue.Queue()
         self._edge = AsyncEdge(
             self._edge_handshake,
             host=config.host,
@@ -595,23 +550,13 @@ class GarbleServer:
             return self
         self._started = True
         self._edge.start()
-        if self.pool == "process":
-            for i in range(self.workers):
-                self._spawn_worker(i)
-            dispatch = threading.Thread(
-                target=self._dispatch_loop, name="serve-dispatch",
-                daemon=True,
-            )
-            dispatch.start()
-            self._threads.append(dispatch)
-        else:
-            for i in range(self.workers):
-                t = threading.Thread(
-                    target=self._worker_loop, args=(i,),
-                    name=f"serve-worker-{i}", daemon=True,
-                )
-                t.start()
-                self._threads.append(t)
+        for i in range(self.workers):
+            self._spawn_worker(i)
+        dispatch = threading.Thread(
+            target=self._dispatch_loop, name="serve-dispatch", daemon=True,
+        )
+        dispatch.start()
+        self._threads.append(dispatch)
         return self
 
     def request_shutdown(self) -> None:
@@ -670,30 +615,28 @@ class GarbleServer:
                     if remaining <= 0:
                         break
                     q.all_tasks_done.wait(remaining)
-        if self.pool == "process":
-            if self._started:
-                # Unblock the dispatcher whichever queue it waits on.
-                self._idle.put(_SENTINEL)
-                self._queue.put(_SENTINEL)
-            for chan in self._chans:
-                if chan is not None:
-                    try:
-                        chan.send({"type": "stop"})
-                    except IpcClosed:
-                        pass
-            for proc in self._procs:
-                if proc is not None:
-                    proc.join(timeout=10.0)
-            for chan in self._chans:
-                if chan is not None:
-                    chan.close()
-            for proc in self._procs:
-                if proc is not None and proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=2.0)
-        else:
-            for _ in range(self.workers):
-                self._queue.put(_SENTINEL)
+        if self._started:
+            # Unblock the dispatcher whichever queue it waits on.
+            self._idle.put(_SENTINEL)
+            self._queue.put(_SENTINEL)
+        for chan in self._chans:
+            if chan is not None:
+                try:
+                    chan.send({"type": "stop"})
+                except IpcClosed:
+                    pass
+        for proc in self._procs:
+            if proc is not None:
+                proc.join(timeout=10.0)
+        for chan in self._chans:
+            if chan is not None:
+                chan.close()
+        for proc in self._procs:
+            # A thread cannot be killed; a stuck process can.
+            if proc is not None and proc.is_alive() \
+                    and self.pool == "process":
+                proc.terminate()
+                proc.join(timeout=2.0)
         for t in self._threads:
             t.join(timeout=10.0)
         self._edge.stop()
@@ -1128,11 +1071,8 @@ class GarbleServer:
 
     def _deliver_link(self, sess: _ServeSession, link: Link,
                       leftover: bytes) -> bool:
-        """Hand a (re)connected link to whatever runs the session:
-        the session's in-process queue (thread pool) or the owning
-        worker process via fd passing.  False if the session sealed."""
-        if self.pool != "process":
-            return sess.push_link(PrefacedLink(link, leftover))
+        """Hand a (re)connected link to the worker that owns the
+        session, by fd passing.  False if the session sealed."""
         with sess._lock:
             if sess._sealed:
                 return False
@@ -1201,17 +1141,14 @@ class GarbleServer:
             return 0
         signalled = 0
         for sess in active:
-            if self.pool == "process":
-                owner = sess.owner
-                chan = self._chans[owner] if owner is not None else None
-                if chan is None:
-                    continue
-                try:
-                    chan.send({"type": "handoff", "session": sess.id})
-                except IpcClosed:
-                    continue
-            else:
-                sess.handoff.set()
+            owner = sess.owner
+            chan = self._chans[owner] if owner is not None else None
+            if chan is None:
+                continue
+            try:
+                chan.send({"type": "handoff", "session": sess.id})
+            except IpcClosed:
+                continue
             signalled += 1
         return signalled
 
@@ -1401,7 +1338,7 @@ class GarbleServer:
                 link.close()
 
     def _finish_handoff(self, index: int, msg: dict) -> None:
-        """Apply a worker's handed-off outcome (process pool).
+        """Apply a worker's handed-off outcome.
 
         Picks the adoption peer by the same rendezvous hash the router
         routes with, ships the bundle, flips the session state, *then*
@@ -1450,7 +1387,7 @@ class GarbleServer:
             self.obs.event("serve-session", **record)
         self._queue.task_done()
 
-    # -- process pool --------------------------------------------------------
+    # -- worker pool ---------------------------------------------------------
 
     def _worker_config(self) -> dict:
         return {
@@ -1471,15 +1408,24 @@ class GarbleServer:
             socket_mod.AF_UNIX, socket_mod.SOCK_STREAM
         )
         chan = MsgChannel(parent_sock)
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(index, child_sock, self._stats_block, self.programs,
-                  self._worker_config()),
-            name=f"serve-worker-{index}",
-            daemon=True,
-        )
-        proc.start()
-        child_sock.close()  # the worker holds the only live copy now
+        args = (index, child_sock, self._stats_block, self.programs,
+                self._worker_config())
+        name = f"serve-worker-{index}"
+        if self.pool == "process":
+            proc = self._ctx.Process(
+                target=worker_process, args=args, name=name, daemon=True,
+            )
+            proc.start()
+            child_sock.close()  # the worker holds the only live copy now
+        else:
+            # Same runtime in-process: the worker thread owns (and
+            # closes) child_sock, shares the parent's obs and material.
+            proc = threading.Thread(
+                target=worker_main, args=args,
+                kwargs={"obs": self.obs, "materials": self._materials},
+                name=name, daemon=True,
+            )
+            proc.start()
         self._procs[index] = proc
         self._chans[index] = chan
         reader = threading.Thread(
@@ -1552,7 +1498,7 @@ class GarbleServer:
 
     def _on_worker_exit(self, index: int) -> None:
         """A worker's channel hit EOF.  During drain that is the
-        normal exit; otherwise the process died and its in-flight
+        normal exit; otherwise the worker died and its in-flight
         session (if any) must be failed and the worker replaced."""
         with self._lock:
             if self._draining or self._stopped:
@@ -1563,7 +1509,7 @@ class GarbleServer:
             ]
             for sess in owned:
                 sess.state = "failed"
-                sess.error = ChannelClosed("worker process died")
+                sess.error = ChannelClosed("worker died")
         for sess in owned:
             sess.seal()
             self.stats.bump("failed")
@@ -1634,7 +1580,7 @@ class GarbleServer:
                 # the session (the evaluator redials into an error).
                 with self._lock:
                     sess.state = "failed"
-                    sess.error = ChannelClosed("worker process died")
+                    sess.error = ChannelClosed("worker died")
                 for link, _preface in pending:
                     link.close()
                 sess.seal()
@@ -1643,177 +1589,6 @@ class GarbleServer:
                 continue
             for link, leftover in pending:
                 self._send_link(tok, sess.id, link, leftover)
-
-    # -- thread pool ---------------------------------------------------------
-
-    def _worker_loop(self, index: int) -> None:
-        self.obs.set_thread_label(f"serve-worker-{index}")
-        while True:
-            sess = self._queue.get()
-            if sess is _SENTINEL:
-                self._queue.task_done()
-                return
-            with self._lock:
-                cancelled = sess.state == "cancelled"
-            if cancelled:
-                self._queue.task_done()
-                continue
-            try:
-                self._run_session(sess)
-            finally:
-                self._queue.task_done()
-            if self.max_sessions is not None:
-                # One locked read: two separate attribute loads could
-                # straddle a concurrent bump and miss the threshold.
-                if self.stats.done_snapshot() >= self.max_sessions:
-                    self.request_shutdown()
-
-    def _run_session(self, sess: _ServeSession) -> None:
-        prog = sess.prog
-        with self._lock:
-            sess.state = "active"
-        self.stats.bump("active")
-        t0 = perf_counter()
-        run_msg = {"session": sess.id, "program": sess.program,
-                   "client": sess.client, "ot_base": sess.ot_base,
-                   "garbler_key": sess.garbler_key,
-                   "bundle": sess.bundle}
-        config = self._worker_config()
-        if sess.bundle is not None:
-            party = make_adopted_party(prog, config, run_msg, obs=self.obs)
-            material_hit = None
-        else:
-            party, material_hit = make_garbler_party(
-                sess.program, prog, config, run_msg, self._materials,
-                obs=self.obs,
-            )
-        if material_hit is not None:
-            self.stats.bump(
-                "material_hits" if material_hit else "material_misses"
-            )
-            if not material_hit:
-                self.stats.bump("material_epochs")
-        # Handoff is limited to material-backed sessions: a fresh
-        # party's free-XOR delta and memoized labels are bound to
-        # in-process state no peer can reconstruct.
-        can_handoff = getattr(party, "material", None) is not None
-        session = ResumableSession(
-            party,
-            connect=lambda: sess.pop_link(self.resume_window),
-            checkpoint_every=self.checkpoint_every,
-            timeout=self.timeout,
-            max_attempts=self.max_attempts,
-            heartbeat_interval=self.heartbeat,
-            interrupt=sess.handoff.is_set if can_handoff else None,
-            checkpoints=(sess.bundle or {}).get("checkpoints"),
-            obs=self.obs,
-        )
-        reraise: Optional[BaseException] = None
-        handoff: Optional[SessionHandoff] = None
-        try:
-            result = session.run()
-        except SessionHandoff as exc:
-            # Drain-time handoff (thread pool): ship the bundle to the
-            # rendezvous-chosen peer, flip the state, and only then
-            # close the session's transport — the evaluator stays
-            # blocked on the open link until the peer has the session,
-            # so its redial can never observe a half-moved state.
-            handoff = exc
-            bundle = handoff_bundle(party, run_msg, exc.checkpoints,
-                                    exc.cycle)
-            with self._lock:
-                peers = list(self._handoff_peers)
-            ok, peer = False, None
-            if bundle is not None and peers:
-                peer = rendezvous_select(bundle["digest"], peers)
-                if peer is not None:
-                    ok = self._adopt_on_peer(peer[0], peer[1], bundle)
-            with self._lock:
-                if ok:
-                    sess.state = "handed-off"
-                    sess.peer = peer
-                else:
-                    sess.state = "failed"
-                    sess.error = ChannelClosed(
-                        "drain handoff failed: no peer adopted the "
-                        "session"
-                    )
-            self.stats.bump("handed_off" if ok else "failed")
-            if self.obs.enabled:
-                self.obs.inc("serve.handed_off" if ok else "serve.failed")
-            session.close()
-        except Exception as exc:
-            with self._lock:
-                # A session that failed *after* the garbler decoded
-                # outputs (Bob died between result and goodbye) still
-                # parks its result — that is the replay buffer's whole
-                # reason to exist.
-                self._park_replay(sess, replay_payload(None, party))
-                sess.state = "failed"
-                sess.error = exc
-            self.stats.bump("failed")
-            if self.obs.enabled:
-                self.obs.inc("serve.failed")
-        except BaseException as exc:
-            # KeyboardInterrupt / SystemExit: record the failure but
-            # re-raise so interpreter shutdown reaches the worker loop
-            # instead of being booked as an ordinary failed session.
-            with self._lock:
-                sess.state = "failed"
-                sess.error = exc
-            self.stats.bump("failed")
-            if self.obs.enabled:
-                self.obs.inc("serve.failed")
-            reraise = exc
-        else:
-            with self._lock:
-                self._park_replay(sess, replay_payload(result, party))
-                sess.state = "done"
-                sess.result = result
-            self.stats.bump("completed")
-            if self.obs.enabled:
-                self.obs.inc("serve.completed")
-                self.obs.inc("serve.gates", result.stats.garbled_nonxor)
-            export = exportable_ot_base(party, config, run_msg)
-            if export is not None and sess.client is not None:
-                self._client_bases.put(sess.client, export)
-        finally:
-            sess.wall_seconds = perf_counter() - t0
-            self.stats.bump("active", -1)
-            sess.seal()
-            record = {
-                "session": sess.id,
-                "program": sess.program,
-                "state": sess.state,
-                "wall_ms": int(sess.wall_seconds * 1000),
-                "garbled_nonxor": (
-                    sess.result.stats.garbled_nonxor if sess.result else -1
-                ),
-                "tables_sent": (
-                    sess.result.tables_sent
-                    if sess.result and sess.result.tables_sent is not None
-                    else -1
-                ),
-                "reconnects": sess.result.reconnects if sess.result else -1,
-                "epoch": (
-                    sess.result.material_epoch
-                    if sess.result and sess.result.material_epoch is not None
-                    else -1
-                ),
-            }
-            self.stats.record_session(record)
-            if self.obs.enabled:
-                self.obs.event("serve-session", **record)
-            # Offline phase between sessions: top the pool back up only
-            # after the outcome is booked, never on the client's path —
-            # and not at all when draining (a handoff means this shard
-            # is on its way out; don't garble material nobody will use).
-            if handoff is None:
-                cache = self._materials.get(sess.program)
-                if cache is not None:
-                    self.stats.bump("material_epochs", cache.refill())
-        if reraise is not None:
-            raise reraise
 
 
 def make_server(

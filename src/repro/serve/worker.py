@@ -1,40 +1,48 @@
-"""Serve worker process: one core, one pre-warmed plan per program.
+"""Serve worker: the one session runtime behind both executors.
 
-``worker_main`` is the target of every process the
-:class:`~repro.serve.server.GarbleServer` pool spawns (forkserver
-context, so this module is importable and preloadable).  At spawn the
-worker rebuilds each served program's compiled
+``worker_main`` runs every session a
+:class:`~repro.serve.server.GarbleServer` admits.  The pool only picks
+the executor it runs on: ``pool="process"`` starts it in a forkserver
+process (entry :func:`worker_process`; this module is importable and
+preloadable), ``pool="thread"`` starts it in a daemon thread of the
+server.  Either way it talks to the parent over one
+:class:`~repro.serve.ipc.MsgChannel` socketpair, and every (re)connected
+socket reaches it as a passed file descriptor.
+
+At start the worker warms one compiled
 :class:`~repro.core.plan.CyclePlan` — including the generated sweep —
-in its *own* interpreter, so the first admitted session pays no
-compile and the parent's plan cache is never shared across the process
-boundary.
+per served program.  A process worker builds it in its *own*
+interpreter and pre-garbles its own material pools; thread workers
+share the parent's plan cache (one compile for all of them) and the
+parent's material caches, so prewarm cost does not multiply by
+``workers``.
 
-Control flow mirrors the thread pool, split across the process
-boundary:
+Control flow:
 
-* a **reader thread** drains the parent's control channel
-  (:class:`~repro.serve.ipc.MsgChannel`): ``run`` registers a session
-  and enqueues it for the main loop, ``link`` adopts a passed-in
-  socket fd (a fresh connect or a resume redial) and feeds it to the
-  owning session's link queue, ``stop`` ends the worker after the
-  current session;
+* a **reader thread** drains the parent's control channel: ``run``
+  registers a session and enqueues it for the main loop, ``link``
+  adopts a passed-in socket fd (a fresh connect or a resume redial)
+  and feeds it to the owning session's :class:`_WorkerSession`
+  mailbox, ``handoff`` / ``handoff-release`` drive a drain-time
+  handoff, ``stop`` ends the worker after the current session;
 * the **main loop** runs one
   :class:`~repro.net.session.ResumableSession` at a time around a
-  :class:`~repro.core.protocol.GarblerParty`, exactly as the thread
-  pool's ``_run_session`` does, and ships the outcome (record plus the
-  pickled :class:`~repro.net.session.SessionResult`) back to the
-  parent, which owns all session bookkeeping.
+  :class:`~repro.core.protocol.GarblerParty` (:func:`_run_one`) and
+  ships the outcome (record plus the pickled
+  :class:`~repro.net.session.SessionResult`) back to the parent, which
+  owns all session bookkeeping.
 
-Only the ``active`` gauge lives in the shared-memory counter block —
-the one number admission control needs *while* a session runs.
-Terminal counters (``completed``/``failed``) are bumped by the parent
-when it processes the outcome message, keeping counter and session
-state transitions atomic under the parent's lock (a client that has
-observed ``completed == n`` must see those n sessions as finished).
+Only the ``active`` gauge and the material counters live in the
+shared counter block — the numbers admission control and stats need
+*while* a session runs.  Terminal counters (``completed``/``failed``)
+are bumped by the parent when it processes the outcome message,
+keeping counter and session state transitions atomic under the
+parent's lock (a client that has observed ``completed == n`` must see
+those n sessions as finished).
 
-``SIGINT`` is ignored: a Ctrl-C against the CLI hits the whole
-process group, and shutdown must flow through the parent's drain so
-in-flight sessions finish.
+A process worker ignores ``SIGINT``: a Ctrl-C against the CLI hits the
+whole process group, and shutdown must flow through the parent's drain
+so in-flight sessions finish.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ from ..net.tcp import TcpLink
 from ..obs import NULL_OBS
 from .ipc import IpcClosed, MsgChannel
 
-__all__ = ["STAT_FIELDS", "worker_main"]
+__all__ = ["STAT_FIELDS", "worker_main", "worker_process"]
 
 #: Layout of the shared-memory counter block (one ``long`` per field).
 #: Defined here — not in ``server`` — so the worker never imports the
@@ -94,8 +102,9 @@ _SEALED = object()
 
 
 class _WorkerSession:
-    """Worker-side link mailbox for one session (mirrors the parent's
-    ``_ServeSession`` push/pop/seal semantics)."""
+    """Link mailbox of one running session: (re)connects are pushed in
+    by the reader thread and popped by the session's ``connect``; once
+    sealed it refuses links and fails every pop at once."""
 
     __slots__ = ("id", "_links", "_lock", "_sealed", "handoff", "released")
 
@@ -160,9 +169,10 @@ def _bump(stats_block, idx: int, n: int = 1) -> None:
 
 def build_material_caches(programs: dict, config: dict) -> dict:
     """Offline phase: one :class:`MaterialCache` per served program,
-    pre-garbled ``material_depth`` epochs deep.  Shared by the process
-    worker (per-worker caches) and the thread pool (one shared cache,
-    the class is thread-safe).  Returns ``{}`` when precompute is off.
+    pre-garbled ``material_depth`` epochs deep.  A process worker builds
+    its own; the thread pool builds one set in the parent that every
+    worker thread shares (the class is thread-safe).  Returns ``{}``
+    when precompute is off.
     """
     if not config.get("precompute"):
         return {}
@@ -440,11 +450,10 @@ def _ship_handoff(chan: MsgChannel, sess: _WorkerSession, session,
 
 def _run_one(chan: MsgChannel, sess: _WorkerSession, run_msg: dict,
              programs: dict, config: dict, stats_block,
-             materials: dict) -> None:
-    """One session end-to-end; mirrors the thread pool's
-    ``_run_session`` including its exception semantics: ``Exception``
-    fails the session, ``KeyboardInterrupt``/``SystemExit`` fail it
-    *and* propagate so interpreter shutdown is never swallowed."""
+             materials: dict, obs=NULL_OBS) -> None:
+    """One session end-to-end.  ``Exception`` fails the session;
+    ``KeyboardInterrupt``/``SystemExit`` fail it *and* propagate so
+    interpreter shutdown is never swallowed."""
     _bump_active(stats_block, 1)
     t0 = perf_counter()
     name = run_msg["program"]
@@ -455,11 +464,11 @@ def _run_one(chan: MsgChannel, sess: _WorkerSession, run_msg: dict,
     adopt = run_msg.get("bundle")
     if adopt is not None:
         party, material_hit = make_adopted_party(
-            programs[name], config, run_msg
+            programs[name], config, run_msg, obs=obs
         ), None
     else:
         party, material_hit = make_garbler_party(
-            name, programs[name], config, run_msg, materials
+            name, programs[name], config, run_msg, materials, obs=obs
         )
     if material_hit is not None:
         _bump(stats_block, _IDX_HITS if material_hit else _IDX_MISSES)
@@ -478,7 +487,7 @@ def _run_one(chan: MsgChannel, sess: _WorkerSession, run_msg: dict,
         heartbeat_interval=config["heartbeat"],
         interrupt=sess.handoff.is_set if can_handoff else None,
         checkpoints=adopt["checkpoints"] if adopt is not None else None,
-        obs=NULL_OBS,
+        obs=obs,
     )
     try:
         result = session.run()
@@ -546,22 +555,30 @@ def _run_one(chan: MsgChannel, sess: _WorkerSession, run_msg: dict,
 
 
 def worker_main(index: int, sock: socket.socket, stats_block,
-                programs: dict, config: dict) -> None:
-    """Entry point of one pool process (must be module-level so the
-    forkserver can pickle the target by reference)."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+                programs: dict, config: dict, obs=NULL_OBS,
+                materials: Optional[dict] = None) -> None:
+    """Run one worker over its end of the control socketpair until the
+    parent says ``stop`` or goes away.
+
+    ``materials`` is the thread pool's shared set of material caches
+    (already pre-warmed by the parent); ``None`` makes the worker build
+    and pre-warm its own, as a process worker must.  ``obs`` is the
+    server's observability sink for in-process workers (a process
+    worker cannot share one and runs with observability off)."""
+    obs.set_thread_label(f"serve-worker-{index}")
     chan = MsgChannel(sock)
     # Pre-warm: one compiled plan (and generated sweep) per served
-    # program, in this process's own cache.
+    # program, before the first session can be dispatched here.
     if config["engine"] == "compiled":
         for prog in programs.values():
             warm_plan(prog.net)
-    # Offline phase: pre-garble material_depth delta epochs per program
-    # before signalling ready, so the first admitted session is already
-    # pure replay.
-    materials = build_material_caches(programs, config)
-    for cache in materials.values():
-        _bump(stats_block, _IDX_EPOCHS, cache.prewarm())
+    if materials is None:
+        # Offline phase: pre-garble material_depth delta epochs per
+        # program before signalling ready, so the first admitted
+        # session is already pure replay.
+        materials = build_material_caches(programs, config)
+        for cache in materials.values():
+            _bump(stats_block, _IDX_EPOCHS, cache.prewarm())
     runq: "queue.Queue" = queue.Queue()
     sessions: dict = {}
     lock = threading.Lock()
@@ -572,9 +589,6 @@ def worker_main(index: int, sock: socket.socket, stats_block,
     reader.start()
     try:
         chan.send({"type": "ready", "index": index})
-    except IpcClosed:
-        return
-    try:
         while True:
             item = runq.get()
             if item is _STOP:
@@ -584,9 +598,19 @@ def worker_main(index: int, sock: socket.socket, stats_block,
                 sess = sessions[sid]
             try:
                 _run_one(chan, sess, run_msg, programs, config,
-                         stats_block, materials)
+                         stats_block, materials, obs)
             finally:
                 with lock:
                     sessions.pop(sid, None)
+    except IpcClosed:
+        return  # the parent went away before this worker was ready
     finally:
         chan.close()
+
+
+def worker_process(*args) -> None:
+    """Entry point of one pool process (module-level so the forkserver
+    can pickle the target by reference): :func:`worker_main` with
+    ``SIGINT`` ignored."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    worker_main(*args)

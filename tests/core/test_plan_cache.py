@@ -1,17 +1,27 @@
-"""Thread safety of the compiled cycle-plan cache.
+"""Thread safety and lifetime of the compiled cycle-plan cache.
 
 The serve worker pool points N engines at one shared netlist, so
 ``compile_plan``'s lookup/insert and the lazy sweep codegen must be
 safe under concurrent first access — every thread must get the *same*
 plan object, and concurrently stepping engines over the shared plan
-must stay bit-identical to a single-threaded run."""
+must stay bit-identical to a single-threaded run.  An entry must also
+die with its netlist: a client that rebuilds a registry netlist per
+session would otherwise leak one plan per session."""
 
+import gc
 import threading
+import weakref
 
 from repro import bench_circuits as BC
 from repro.circuit.netlist import PUBLIC
 from repro.core import CountingBackend
-from repro.core.plan import CompiledSkipGateEngine, compile_plan
+from repro.core.plan import (
+    _PLAN_CACHE,
+    CompiledSkipGateEngine,
+    compile_plan,
+    warm_plan,
+)
+from repro.net.cli import _registry
 
 
 def _run_engine(net, cycles):
@@ -78,3 +88,29 @@ class TestPlanCacheConcurrency:
         for eng in engines:
             assert eng.output_states() == reference.output_states()
             assert eng.stats == reference.stats
+
+
+class TestPlanCacheLifetime:
+    def test_dropped_netlists_free_their_plans(self):
+        """Five rebuilt ``sum32`` netlists, each warmed (plan plus
+        generated sweep) and then dropped: every netlist and its cache
+        entry must be collectable."""
+        entry = _registry()["sum32"]
+        gc.collect()  # settle entries earlier tests left collectable
+        before = len(_PLAN_CACHE)
+        nets = [entry.build()[0] for _ in range(5)]
+        for net in nets:
+            warm_plan(net)
+        assert len(_PLAN_CACHE) == before + 5
+        refs = [weakref.ref(net) for net in nets]
+        del nets, net
+        gc.collect()
+        assert [r for r in refs if r() is not None] == []
+        assert len(_PLAN_CACHE) == before
+
+    def test_live_netlist_keeps_its_plan(self):
+        net, _cycles = _registry()["sum32"].build()
+        plan = warm_plan(net)
+        gc.collect()
+        assert compile_plan(net) is plan
+        assert plan.sweep_fn is not None

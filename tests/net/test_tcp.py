@@ -75,6 +75,8 @@ class TestTcpLink:
                     chan.recv("never")
                 except ChannelClosed as exc:
                     box["error"] = exc
+                finally:
+                    chan.close()
 
             t = threading.Thread(target=server, daemon=True)
             t.start()

@@ -109,7 +109,8 @@ class TestSinks:
         obs.event("cycle", cycle=0)
         obs.event("cycle", cycle=1)
         obs.close()
-        lines = [json.loads(l) for l in open(path)]
+        with open(path) as f:
+            lines = [json.loads(l) for l in f]
         assert [l["cycle"] for l in lines] == [0, 1]
 
     def test_jsonl_sink_close_is_idempotent(self, tmp_path):

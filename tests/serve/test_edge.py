@@ -335,19 +335,21 @@ class TestDrainRace:
 
     def test_connection_after_drain_gets_draining_reject(self):
         srv = make_server(["sum32"], value=1, port=0).start()
-        srv._edge.begin_drain()
         try:
-            link = connect_with_backoff(srv.host, srv.port, attempts=2)
-        except (OSError, LinkClosed, LinkTimeout):
-            return  # listener already closed: equally clean
-        try:
-            w = _read_welcome(link, timeout=5.0)
-            assert w["status"] == "draining"
-        except (LinkClosed, LinkTimeout):
-            pass  # ditto — the race may close before the reject lands
+            srv._edge.begin_drain()
+            try:
+                link = connect_with_backoff(srv.host, srv.port, attempts=2)
+            except (OSError, LinkClosed, LinkTimeout):
+                return  # listener already closed: equally clean
+            try:
+                w = _read_welcome(link, timeout=5.0)
+                assert w["status"] == "draining"
+            except (LinkClosed, LinkTimeout):
+                pass  # ditto — the race may close before the reject lands
+            finally:
+                link.close()
         finally:
-            link.close()
-            srv.shutdown()
+            srv.shutdown()  # the early return must reap the workers too
 
 
 class TestStatsEcho:

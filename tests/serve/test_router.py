@@ -1,6 +1,9 @@
 """The router tier: rendezvous affinity, fleet-stats aggregation and
 drain-time session handoff through a live two-shard fleet."""
 
+import gc
+import socket
+import sys
 import threading
 import time
 
@@ -11,6 +14,8 @@ from repro.net.cli import _registry
 from repro.serve import (
     ServeClient,
     LocalFleet,
+    RouterConfig,
+    SessionRouter,
     aggregate_shard_stats,
     fetch_fleet_stats,
     fetch_stats,
@@ -355,3 +360,65 @@ class TestShardReload:
 
 def client_stats_shards(fleet) -> int:
     return len(ServeClient(fleet.host, fleet.port).stats()["shards"])
+
+
+class TestRouterShutdown:
+    def test_shutdown_awaits_in_flight_probe(self):
+        """Stopping the router while a ``fleet-stats`` probe waits on a
+        shard that never answers must cancel and await that probe on
+        the live loop: a probe left pending past ``loop.close()``
+        closes its writer from the garbage collector, on a closed
+        loop."""
+        shard = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        shard.bind(("127.0.0.1", 0))
+        shard.listen(8)
+        held = []
+        probing = threading.Event()
+
+        def silent_shard():
+            # Refuse the readiness poll at once, then hold the next
+            # probe's connection open without ever answering it.
+            conn, _ = shard.accept()
+            conn.close()
+            conn, _ = shard.accept()
+            held.append(conn)
+            conn.recv(4096)  # the probe's hello: it now awaits a reply
+            probing.set()
+
+        def ask_fleet_stats(host, port):
+            try:
+                fetch_fleet_stats(host, port, timeout=10.0)
+            except Exception:
+                pass  # the router goes away before it can answer
+
+        threading.Thread(target=silent_shard, daemon=True).start()
+        unraisable = []
+        previous = sys.unraisablehook
+        sys.unraisablehook = unraisable.append
+        try:
+            router = SessionRouter(RouterConfig(
+                shards=(shard.getsockname()[:2],), poll_interval=60.0,
+            )).start()
+            asker = threading.Thread(
+                target=ask_fleet_stats, args=(router.host, router.port),
+                daemon=True,
+            )
+            asker.start()
+            assert probing.wait(timeout=10.0), "no probe reached the shard"
+            # No collection until the loop is closed, so a task left
+            # pending cannot be reaped early by a lucky cycle sweep.
+            gc.disable()
+            try:
+                router.shutdown()
+            finally:
+                gc.enable()
+            assert not router._thread.is_alive()
+            asker.join(timeout=10.0)
+            del router
+            gc.collect()
+        finally:
+            sys.unraisablehook = previous
+            for conn in held:
+                conn.close()
+            shard.close()
+        assert [repr(u.exc_value) for u in unraisable] == []

@@ -22,7 +22,7 @@ from repro.net.links import Link, LinkClosed, LinkTimeout, memory_link_pair
 from repro.serve import ServeError, make_server, run_registry_session
 from repro.serve.client import _hello_exchange
 from repro.serve.handshake import HELLO, send_control
-from repro.serve.server import _ServeSession
+from repro.serve.worker import _WorkerSession
 
 SERVER_VALUE = 5555
 
@@ -119,10 +119,10 @@ class TestVanishDuringHandshake:
 
 class TestReconnectCompletionRace:
     def test_sealed_session_fails_push_and_pop_immediately(self):
-        """After seal() a session accepts no links and wakes a blocked
-        pop_link at once — a redial racing completion can neither
-        stall a worker nor leak its socket."""
-        sess = _ServeSession(id="raced", program="sum32", prog=None)
+        """After seal() a session's link mailbox accepts no links and
+        wakes a blocked pop_link at once — a redial racing completion
+        can neither stall a worker nor leak its socket."""
+        sess = _WorkerSession("raced")
         left, _right = memory_link_pair()
         sess.seal()
         assert sess.push_link(left) is False
@@ -132,7 +132,7 @@ class TestReconnectCompletionRace:
         assert time.monotonic() - t0 < 1.0
 
     def test_seal_wakes_blocked_pop(self):
-        sess = _ServeSession(id="blocked", program="sum32", prog=None)
+        sess = _WorkerSession("blocked")
         woke = []
 
         def popper():

@@ -1,15 +1,20 @@
-"""The process worker pool: pool resolution, cross-process resume via
-fd passing, shared-memory counters and the thread fallback.
+"""The worker pool: pool resolution, cross-process resume via fd
+passing, shared-memory counters, and the thread executor running the
+same worker runtime in-process.
 
 Most serve tests already run against the process pool implicitly
 (``pool="auto"`` resolves to processes under pytest); this file pins
-the process-specific guarantees explicitly.
+the executor-specific guarantees explicitly.
 """
 
+import multiprocessing
 import os
+import threading
 
 import pytest
 
+from repro import api
+from repro.net.cli import _registry
 from repro.net.fault import FaultPlan, FaultRule, FaultyTransport
 from repro.serve import make_server, run_loadgen, run_registry_session
 from repro.serve.server import GarbleServer, ServeProgram, registry_program
@@ -118,3 +123,41 @@ class TestProcessPoolSessions:
         assert all(p is not None for p in procs)
         srv.shutdown(drain=True)
         assert all(not p.is_alive() for p in procs)
+
+
+class TestThreadExecutor:
+    def test_thread_pool_matches_process_pool_and_simulator(self):
+        """``pool="thread"`` runs the worker runtime in daemon threads:
+        no child process is started, and a session's outputs and
+        garbled non-XOR count are bit-identical to the process pool's
+        and to the local simulator's on the same inputs."""
+        entry = _registry()["sum32"]
+        net, cycles = entry.build()
+        ref = api.run(
+            net,
+            {"alice": entry.alice_source(SERVER_VALUE, cycles),
+             "bob": entry.bob_source(CLIENT_VALUE, cycles)},
+            cycles=cycles,
+        )
+        results = {}
+        for pool in ("thread", "process"):
+            with make_server(["sum32"], value=SERVER_VALUE, workers=2,
+                             pool=pool, port=0) as srv:
+                assert srv.pool == pool
+                res = run_registry_session(
+                    srv.host, srv.port, "sum32", CLIENT_VALUE,
+                    session_id=f"{pool}-0", max_attempts=1)
+                if pool == "thread":
+                    assert multiprocessing.active_children() == []
+                    assert all(isinstance(w, threading.Thread)
+                               for w in srv._procs)
+                srv.shutdown(drain=True)
+                served = srv.session_result(f"{pool}-0")
+                assert served is not None
+                assert list(served.outputs) == list(res.outputs)
+                assert srv.stats.completed == 1 and srv.stats.active == 0
+            results[pool] = res
+        for res in results.values():
+            assert res.value == ref.value
+            assert list(res.outputs) == list(ref.outputs)
+            assert res.stats.garbled_nonxor == ref.stats.garbled_nonxor

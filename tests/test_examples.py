@@ -1,6 +1,7 @@
 """Every script under ``examples/`` must run clean: the examples are
 executable documentation, and an API change that breaks one should
-fail CI, not a reader."""
+fail CI, not a reader.  Each script runs once, in its own interpreter,
+and must exit 0 and print something."""
 
 import os
 import subprocess
@@ -40,3 +41,4 @@ def test_example_runs_clean(script):
         f"--- stdout ---\n{proc.stdout[-2000:]}\n"
         f"--- stderr ---\n{proc.stderr[-2000:]}"
     )
+    assert proc.stdout.strip(), f"examples/{script} produced no output"
